@@ -440,30 +440,12 @@ func cmdCampaign(args []string) {
 	hybridSeed := fs.Int64("hybrid-seed", 0, "hybrid fuzzer RNG seed (0 = -seed)")
 	hybridWorkers := fs.Int("hybrid-workers", 0,
 		"hybrid mutator pool size (0 = -workers; never changes the report)")
-	solverBatch := fs.Bool("solver-batch", true,
-		"fold sibling path queries into incremental solving with shared assumption prefixes")
-	fastpath := fs.Bool("fastpath", true,
-		"use the Lo-Fi emulator's direct-dispatch fast path (off = IR-flavored slow path)")
-	portfolio := fs.Int("portfolio", 0,
-		"race N extra seeded solver clones per budgeted query (0 = off; deterministic)")
-	solverSubsume := fs.Bool("solver-subsume", true,
-		"answer sibling path queries whose assumptions hold under the last Sat model without solving")
-	reduceDB := fs.Bool("reduce-db", true,
-		"periodically drop high-LBD learned clauses from the SAT core (off = keep every learned clause)")
-	restartBase := fs.Int("restart-base", 0,
-		"Luby restart unit for the SAT core (0 = default 100)")
 	vote := fs.Bool("vote", false,
 		"run every test on lento too and vote the three emulators into per-test verdicts with a blame column")
 	fs.Parse(args)
 
 	if err := validateCampaignFlags(*workers, *exploreWorkers, *cap, *instrs, *maxSteps, *testSteps, *testTimeout, *stageTimeout); err != nil {
 		die(err)
-	}
-	if *portfolio < 0 {
-		die(fmt.Errorf("-portfolio must be >= 0, got %d", *portfolio))
-	}
-	if *restartBase < 0 {
-		die(fmt.Errorf("-restart-base must be >= 0, got %d", *restartBase))
 	}
 	if err := validateHybridFlags(*hybridOn, *hybridBudget, *hybridWorkers); err != nil {
 		die(err)
@@ -494,12 +476,6 @@ func cmdCampaign(args []string) {
 		TestMaxSteps:     *testSteps,
 		TestTimeout:      *testTimeout,
 		StageTimeout:     *stageTimeout,
-		NoSolverBatch:    !*solverBatch,
-		NoFastPath:       !*fastpath,
-		Portfolio:        *portfolio,
-		NoSubsume:        !*solverSubsume,
-		NoReduceDB:       !*reduceDB,
-		RestartBase:      *restartBase,
 		Vote:             *vote,
 	}
 	if *hybridOn {
@@ -560,15 +536,6 @@ func cmdTriage(args []string) {
 	testSteps := fs.Int("test-steps", 0, "per-test emulator step budget (0 = default)")
 	timing := fs.Bool("timing", false, "append the campaign timing and cache-hit table")
 	progress := fs.Bool("progress", false, "print per-stage progress to stderr")
-	solverBatch := fs.Bool("solver-batch", true,
-		"fold sibling path queries into incremental solving with shared assumption prefixes")
-	fastpath := fs.Bool("fastpath", true,
-		"use the Lo-Fi emulator's direct-dispatch fast path (off = IR-flavored slow path)")
-	solverSubsume := fs.Bool("solver-subsume", true,
-		"answer sibling path queries whose assumptions hold under the last Sat model without solving")
-	reduceDB := fs.Bool("reduce-db", true,
-		"periodically drop high-LBD learned clauses from the SAT core (off = keep every learned clause)")
-
 	baselinePath := fs.String("baseline", "",
 		"baseline file of known divergences (\"\" or missing file = everything is new)")
 	minimize := fs.Bool("minimize", false, "ddmin-shrink every divergent case, preserving its signature")
@@ -624,10 +591,6 @@ func cmdTriage(args []string) {
 		Resume:           *resume,
 		TestMaxSteps:     *testSteps,
 		Baseline:         bl,
-		NoSolverBatch:    !*solverBatch,
-		NoFastPath:       !*fastpath,
-		NoSubsume:        !*solverSubsume,
-		NoReduceDB:       !*reduceDB,
 	}
 	if cfg.Baseline == nil && *baselinePath != "" {
 		cfg.Baseline = triage.NewBaseline()

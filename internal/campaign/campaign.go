@@ -68,16 +68,6 @@ type Config struct {
 	// It is deliberately excluded from corpus cache keys.
 	ExploreWorkers int
 
-	// NoSolverBatch disables the batched solver front-end (incremental
-	// assumption-trail reuse across sibling path queries). The zero value
-	// enables batching. The setting changes which models the solver
-	// returns, so it is part of the corpus cache namespace.
-	NoSolverBatch bool
-	// NoFastPath disables celer's direct-dispatch fast path, forcing every
-	// step through the shared-cache dispatcher and the per-execution
-	// re-lowering slow path. The zero value enables the fast path. Reports
-	// are byte-identical either way.
-	NoFastPath bool
 	// Vote enables N-way voted verdicts: every test additionally runs on
 	// lento (the independent direct-decode interpreter), and the three
 	// emulators — fidelis, celer, lento — are partitioned into equivalence
@@ -87,25 +77,6 @@ type Config struct {
 	// byte-identical to a vote-free campaign. Voting bypasses the -resume
 	// execution cache (cached outcomes hold only the classic trio).
 	Vote bool
-	// Portfolio races that many deterministically-seeded solver clones
-	// against the primary solver on conflict-budgeted queries (0 disables).
-	// The portfolio verdict is a pure function of the query sequence, but
-	// it can resolve queries the primary gives up on, so — like
-	// NoSolverBatch — it is part of the corpus cache namespace.
-	Portfolio int
-	// NoSubsume disables the solver's model-subsumption fast path (a
-	// sibling query whose assumptions all hold under the last Sat model is
-	// answered Sat without solving). Verdicts and the explored path set
-	// are identical either way, but the models a query returns move, so —
-	// like NoSolverBatch — it is part of the corpus cache namespace.
-	NoSubsume bool
-	// NoReduceDB freezes the solver's learned-clause database, disabling
-	// the periodic LBD-based reduceDB pass. Part of the corpus cache
-	// namespace for the same model-movement reason.
-	NoReduceDB bool
-	// RestartBase overrides the solver's Luby restart unit (0 = default
-	// 100). Part of the corpus cache namespace.
-	RestartBase int
 
 	// CorpusDir roots the persistent test corpus; "" disables it.
 	CorpusDir string
@@ -209,7 +180,6 @@ func (c *Config) Validate() error {
 		{"ExploreWorkers", c.ExploreWorkers},
 		{"MaxSteps", c.MaxSteps},
 		{"TestMaxSteps", c.TestMaxSteps},
-		{"RestartBase", c.RestartBase},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("campaign: %s must be >= 0 (got %d)", f.name, f.v)
@@ -228,11 +198,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("campaign: Hybrid.MutatorWorkers must be >= 0 (got %d)", c.Hybrid.MutatorWorkers)
 	}
 	return nil
-}
-
-// DefaultConfig mirrors the paper's settings.
-func DefaultConfig() Config {
-	return Config{MaxPathsPerInstr: 8192, Seed: 1}
 }
 
 // InstrReport summarizes one instruction's exploration and testing.
@@ -272,26 +237,9 @@ type StageTiming struct {
 // Concurrent campaigns in one process (the service) see each other's
 // traffic, so treat these as throughput indicators, not exact attributions.
 type SolverStats struct {
-	Queries      int64 // solver CheckLits calls
-	MemoHits     int64 // answered by the assumption-set memo
-	MemoMisses   int64
+	solver.Stats       // process-wide solver counter deltas over the run
 	InternHits   int64 // expression constructions served by the intern table
 	InternMisses int64
-	// ReusedLevels counts assumption trail levels the batched front-end
-	// carried over between sibling queries instead of re-deciding them.
-	ReusedLevels int64
-	// SubsumeHits counts queries answered by the model-subsumption fast
-	// path (assumptions already true under the last Sat model).
-	SubsumeHits int64
-	// Restarts/ReduceRuns/ReduceRemoved surface the CDCL core's restart
-	// and learned-clause-reduction activity.
-	Restarts      int64
-	ReduceRuns    int64
-	ReduceRemoved int64
-	// PortfolioRaces/PortfolioCloneWins count budgeted queries raced by the
-	// solver portfolio and the races a seeded clone decided.
-	PortfolioRaces     int64
-	PortfolioCloneWins int64
 }
 
 // CacheStats counts corpus traffic per pipeline stage.
@@ -522,26 +470,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		testBudget.MaxSteps = harness.DefaultMaxSteps
 	}
 	res := &Result{RootCauses: make(map[string]int)}
-	queries0 := solver.QueriesTotal()
-	memoHits0, memoMisses0 := solver.MemoTotals()
+	solver0 := solver.StatsSnapshot()
 	internHits0, internMisses0, _ := expr.InternStats()
-	reused0 := solver.ReusedLevelsTotal()
-	races0, cloneWins0 := solver.PortfolioTotals()
-	core0 := solver.StatsSnapshot()
 	defer func() {
-		res.Solver.Queries = solver.QueriesTotal() - queries0
-		mh, mm := solver.MemoTotals()
-		res.Solver.MemoHits, res.Solver.MemoMisses = mh-memoHits0, mm-memoMisses0
+		res.Solver.Stats = solver.StatsSnapshot().Sub(solver0)
 		ih, im, _ := expr.InternStats()
 		res.Solver.InternHits, res.Solver.InternMisses = ih-internHits0, im-internMisses0
-		res.Solver.ReusedLevels = solver.ReusedLevelsTotal() - reused0
-		ra, cw := solver.PortfolioTotals()
-		res.Solver.PortfolioRaces, res.Solver.PortfolioCloneWins = ra-races0, cw-cloneWins0
-		core1 := solver.StatsSnapshot()
-		res.Solver.SubsumeHits = core1.SubsumeHits - core0.SubsumeHits
-		res.Solver.Restarts = core1.Restarts - core0.Restarts
-		res.Solver.ReduceRuns = core1.ReduceRuns - core0.ReduceRuns
-		res.Solver.ReduceRemoved = core1.ReduceRemoved - core0.ReduceRemoved
 	}()
 
 	var crp *corpus.Corpus
@@ -606,34 +540,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	opts.MaxPaths = cfg.MaxPathsPerInstr
 	opts.Seed = cfg.Seed
 	opts.Workers = cfg.ExploreWorkers
-	opts.NoSolverBatch = cfg.NoSolverBatch
-	opts.Portfolio = cfg.Portfolio
-	opts.NoSubsume = cfg.NoSubsume
-	opts.NoReduceDB = cfg.NoReduceDB
-	opts.RestartBase = cfg.RestartBase
 	if cfg.MaxSteps > 0 {
 		opts.MaxSteps = cfg.MaxSteps
 	}
-	// Solver-mode settings change which models the solver returns, so
-	// non-default modes get their own corpus namespace; the default label
-	// is unchanged so existing corpora stay warm.
-	solverLabel := configLabel
-	if cfg.NoSolverBatch {
-		solverLabel += "+nobatch"
-	}
-	if cfg.Portfolio > 0 {
-		solverLabel += fmt.Sprintf("+portfolio%d", cfg.Portfolio)
-	}
-	if cfg.NoSubsume {
-		solverLabel += "+nosub"
-	}
-	if cfg.NoReduceDB {
-		solverLabel += "+noreduce"
-	}
-	if cfg.RestartBase > 0 {
-		solverLabel += fmt.Sprintf("+rb%d", cfg.RestartBase)
-	}
-	sumKey := corpus.SummaryKey{Config: solverLabel, SymexVersion: symex.SerialVersion}
+	sumKey := corpus.SummaryKey{Config: configLabel, SymexVersion: symex.SerialVersion}
 	var (
 		exOnce        sync.Once
 		ex            *core.Explorer
@@ -704,7 +614,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		key := corpus.InstrKey{
 			Handler: u.Key(), PathCap: cfg.MaxPathsPerInstr, MaxSteps: cfg.MaxSteps,
-			Seed: cfg.Seed, Config: solverLabel,
+			Seed: cfg.Seed, Config: configLabel,
 			SymexVersion: symex.SerialVersion, GenVersion: testgen.Version,
 		}
 		if crp != nil && !cfg.NoCache {
@@ -846,7 +756,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	boot := testgen.BaselineInit()
 	fiF := harness.FidelisFactory()
-	ceF := harness.CelerFactoryFast(!cfg.NoFastPath)
+	ceF := harness.CelerFactory()
 	hwF := harness.HardwareFactory()
 	leF := harness.LentoFactory()
 	// The -resume execution cache stores the classic trio only; a voting
@@ -1068,7 +978,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			Budget:   cfg.Hybrid.Budget, Seed: hseed,
 			MaxSteps: testBudget.MaxSteps, RoundSize: hybrid.DefaultRoundSize,
 			ReseedPaths: hybrid.DefaultReseedPaths, MaxReseeds: hybrid.DefaultMaxReseeds,
-			Config: solverLabel, CovVersion: coverage.Version,
+			Config: configLabel, CovVersion: coverage.Version,
 			HybridVersion: hybrid.Version, GenVersion: testgen.Version,
 		}
 		var hres *hybrid.Result
@@ -1373,10 +1283,6 @@ func (r *Result) TimingTable() string {
 	if r.Solver.ReduceRuns > 0 {
 		fmt.Fprintf(&b, "solver reduce: %d passes dropped %d learned clauses (%d restarts)\n",
 			r.Solver.ReduceRuns, r.Solver.ReduceRemoved, r.Solver.Restarts)
-	}
-	if r.Solver.PortfolioRaces > 0 {
-		fmt.Fprintf(&b, "solver portfolio: %d races, %d clone wins\n",
-			r.Solver.PortfolioRaces, r.Solver.PortfolioCloneWins)
 	}
 	var explored []*InstrReport
 	for _, rep := range r.Reports {

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pokeemu/internal/corpus"
+	"pokeemu/internal/symex"
 )
 
 // smallConfig is a fast two-handler campaign used by the corpus and
@@ -62,6 +65,33 @@ func TestCorpusColdWarm(t *testing.T) {
 	}
 	if cold.SummaryPaths == 0 || cold.SummaryPaths != warm.SummaryPaths {
 		t.Errorf("summary paths: cold %d, warm %d", cold.SummaryPaths, warm.SummaryPaths)
+	}
+}
+
+// TestCorpusNamespace pins the corpus namespace every campaign writes: a
+// default cold run stores its descriptor-parse summaries under the plain
+// "bochs" configuration label, and a second run is fully warm. Existing
+// corpora and the benchmark's traced replica read this key.
+func TestCorpusNamespace(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallConfig()
+	cfg.CorpusDir = dir
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	crp, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := crp.GetSummary(corpus.SummaryKey{Config: "bochs", SymexVersion: symex.SerialVersion}); !ok {
+		t.Error("cold run stored no summary under the \"bochs\" configuration label")
+	}
+	warm, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cache.InstrMisses != 0 || !warm.Cache.SummaryHit {
+		t.Errorf("second run cache = %+v, want fully warm", warm.Cache)
 	}
 }
 

@@ -213,12 +213,12 @@ func TestWarmCacheStability(t *testing.T) {
 			cold.Timing.CacheHits, cold.Timing.CacheMisses, len(detHandlers))
 	}
 	instrSet() // ensure exploration is already memoized before measuring
-	before := solver.QueriesTotal()
+	before := solver.StatsSnapshot().Queries
 	warm, err := Run(Options{Handlers: detHandlers, Corpus: crp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta := solver.QueriesTotal() - before; delta != 0 {
+	if delta := solver.StatsSnapshot().Queries - before; delta != 0 {
 		t.Errorf("warm run issued %d solver queries, want 0", delta)
 	}
 	if warm.Timing.CacheHits != len(detHandlers) || warm.Timing.CacheMisses != 0 {

@@ -56,9 +56,41 @@ func TestExceptionDuringTestIsRecorded(t *testing.T) {
 	image := machine.BaselineImage()
 	boot := testgen.BaselineInit()
 	prog := append([]byte{0xf7, 0xf1}, x86.AsmHlt()...) // div %ecx with ecx=0 → #DE
-	res := RunBoot(CelerFactory(), image, boot, prog, 0)
-	if res.Snapshot.Exception == nil || res.Snapshot.Exception.Vector != x86.ExcDE {
-		t.Errorf("snapshot exception = %v, want #DE", res.Snapshot.Exception)
+	for _, f := range []Factory{CelerFactory(), HardwareFactory()} {
+		res := RunBoot(f, image, boot, prog, 0)
+		if res.Snapshot.Exception == nil || res.Snapshot.Exception.Vector != x86.ExcDE {
+			t.Errorf("%s: snapshot exception = %v, want #DE", res.Impl, res.Snapshot.Exception)
+		}
+	}
+}
+
+// TestGuestsAreIsolated: every test boots a fresh guest from the shared
+// image, so a memory write in one test is invisible to the next even when
+// both run through one factory and its shared program cache.
+func TestGuestsAreIsolated(t *testing.T) {
+	image := machine.BaselineImage()
+	boot := testgen.BaselineInit()
+	write := x86.AsmMovMemImm32(0x300000, 0xdead)
+	read := x86.AsmMovRegMem32(x86.EAX, 0x300000)
+	dirty := append(append([]byte(nil), write...), x86.AsmHlt()...)
+	probe := append(append([]byte(nil), read...), x86.AsmHlt()...)
+	// Within one guest the write is visible, so the probe can see a leak.
+	both := append(append(append([]byte(nil), write...), read...), x86.AsmHlt()...)
+	for _, f := range []Factory{HardwareFactory(), FidelisFactory(), CelerFactory(), LentoFactory()} {
+		if res := RunBoot(f, image, boot, both, 0); res.Snapshot.CPU.GPR[x86.EAX] != 0xdead {
+			t.Fatalf("%s: write then read in one test gave %#x, want 0xdead",
+				f.Name, res.Snapshot.CPU.GPR[x86.EAX])
+		}
+		if res := RunBoot(f, image, boot, dirty, 0); res.Snapshot.Exception != nil || !res.Snapshot.CPU.Halted {
+			t.Fatalf("%s: dirtying test did not run cleanly: exception %v", f.Name, res.Snapshot.Exception)
+		}
+		res := RunBoot(f, image, boot, probe, 0)
+		if !res.Snapshot.CPU.Halted {
+			t.Fatalf("%s: probe test did not halt", f.Name)
+		}
+		if got := res.Snapshot.CPU.GPR[x86.EAX]; got != 0 {
+			t.Errorf("%s: probe read %#x, want 0: guest memory leaked across tests", f.Name, got)
+		}
 	}
 }
 

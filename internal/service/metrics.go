@@ -231,9 +231,8 @@ func (m *Metrics) Snapshot(g JobGauges) MetricsSnapshot {
 	s.Hybrid.Edges = m.HybridEdges.Load()
 	s.Hybrid.CacheHits = m.HybridCacheHits.Load()
 	// One atomic snapshot for every SAT-core counter: these are read while
-	// campaign workers (and portfolio clones) are still solving, so they
-	// must come from the solver's race-free totals, never from a live
-	// solver instance.
+	// campaign workers are still solving, so they must come from the
+	// solver's race-free totals, never from a live solver instance.
 	core := solver.StatsSnapshot()
 	s.Solver.Queries = core.Queries
 	s.Solver.MemoHits, s.Solver.MemoMisses = core.MemoHits, core.MemoMisses

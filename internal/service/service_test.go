@@ -460,3 +460,31 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 		t.Errorf("list = %d (%s), want both jobs", code, b)
 	}
 }
+
+// TestRemovedSolverFieldsRejected: the ablation fields the campaign no
+// longer has are unknown JSON fields, so a client still sending them gets a
+// 400 naming the field instead of a silently ignored setting.
+func TestRemovedSolverFieldsRejected(t *testing.T) {
+	_, ts := startServer(t, Options{
+		runCampaign: func(ctx context.Context, cfg campaign.Config) (*campaign.Result, error) {
+			t.Error("a rejected request ran a campaign")
+			return stubResult(1), nil
+		},
+	})
+	for field, body := range map[string]string{
+		"portfolio":       `{"handlers":["push_r"],"portfolio":2}`,
+		"no_fastpath":     `{"handlers":["push_r"],"no_fastpath":true}`,
+		"no_solver_batch": `{"no_solver_batch":true}`,
+		"no_subsume":      `{"no_subsume":true}`,
+		"no_reduce_db":    `{"no_reduce_db":true}`,
+		"restart_base":    `{"restart_base":50}`,
+	} {
+		code, b := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
+		if code != http.StatusBadRequest {
+			t.Errorf("submit(%s) = %d (%s), want 400", body, code, b)
+		}
+		if !bytes.Contains(b, []byte(`unknown field \"`+field+`\"`)) {
+			t.Errorf("submit(%s) error %s does not name the unknown field %q", body, b, field)
+		}
+	}
+}

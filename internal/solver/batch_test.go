@@ -6,6 +6,15 @@ import (
 	"pokeemu/internal/expr"
 )
 
+// splitmix64 advances a splitmix64 PRNG state, so the random instances
+// below are reproducible from a seed alone.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // randCNF builds a deterministic pseudo-random 3-SAT instance over nVars
 // variables (which must already be allocated by the caller).
 func randCNF(seed uint64, nVars, nClauses int) [][]Lit {
@@ -209,45 +218,6 @@ func TestBudgetLearntsPreserveVerdicts(t *testing.T) {
 		want := clean.CheckLits([]Lit{clean.LitFor(f)})
 		if got != want {
 			t.Fatalf("follow-up %d: after exhausted budget %v, clean solver %v", i, got, want)
-		}
-	}
-}
-
-// TestPortfolioDeterministic: the portfolio race must be a pure function of
-// the query sequence — two identical instances agree on every verdict, and
-// decisive verdicts match an unbudgeted reference solver.
-func TestPortfolioDeterministic(t *testing.T) {
-	queries := []*expr.Expr{
-		hardUnsat(),
-		expr.Ugt(expr.Var(8, "qa"), expr.Const(8, 7)),
-		expr.Ne(expr.Mul(expr.Var(5, "qm"), expr.Const(5, 3)),
-			expr.Mul(expr.Const(5, 3), expr.Var(5, "qm"))),
-	}
-	run := func() []Status {
-		b := NewBV()
-		b.Reuse = true
-		b.MaxConflicts = 40
-		b.Portfolio = 3
-		var out []Status
-		for _, q := range queries {
-			out = append(out, b.CheckLits([]Lit{b.LitFor(q)}))
-		}
-		return out
-	}
-	first := run()
-	second := run()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("query %d: run1=%v run2=%v", i, first[i], second[i])
-		}
-	}
-	for i, q := range queries {
-		if first[i] == Unknown {
-			continue
-		}
-		ref := NewBV()
-		if want := ref.CheckLits([]Lit{ref.LitFor(q)}); first[i] != want {
-			t.Fatalf("query %d: portfolio=%v reference=%v", i, first[i], want)
 		}
 	}
 }

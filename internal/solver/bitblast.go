@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pokeemu/internal/expr"
@@ -51,15 +50,6 @@ type BV struct {
 	// new suffix. Off, every query re-decides its assumptions from level 0.
 	Reuse bool
 
-	// Portfolio, when positive and a conflict budget is set, races that
-	// many deterministically-seeded solver clones against the primary on
-	// each memo miss. Adjudication is deterministic: a decisive primary
-	// always wins (clones are stopped and discarded); only when the
-	// primary returns Unknown are the clones joined and the first decisive
-	// one by index used. Scheduling therefore never changes answers, only
-	// wall-clock.
-	Portfolio int
-
 	// Subsume turns on the model-subsumption fast path between sibling
 	// path-condition queries: a query whose assumption literals all
 	// evaluate true under the last Sat model is answered Sat without
@@ -73,10 +63,9 @@ type BV struct {
 	Subsume    bool
 	modelValid bool
 
-	// NoReduce and RestartBase pass through to the CDCL core on every
-	// check (see the CDCL fields of the same names).
-	NoReduce    bool
-	RestartBase int64
+	// NoReduce passes through to the CDCL core on every check (see the
+	// CDCL field of the same name).
+	NoReduce bool
 }
 
 // memoEntry caches the outcome of one assumption set: the status, and for
@@ -100,32 +89,11 @@ const (
 // parallel explorer gives each worker its own BV). The campaign timing table
 // and the pokeemud /metrics endpoint read these.
 var (
-	memoHitsTotal      atomic.Int64
-	memoMissesTotal    atomic.Int64
-	internalQueries    atomic.Int64
-	reusedLevelsTotal  atomic.Int64
-	portfolioRaces     atomic.Int64
-	portfolioCloneWins atomic.Int64
+	memoHitsTotal     atomic.Int64
+	memoMissesTotal   atomic.Int64
+	internalQueries   atomic.Int64
+	reusedLevelsTotal atomic.Int64
 )
-
-// MemoTotals reports process-wide CheckLits memo hits and misses.
-func MemoTotals() (hits, misses int64) {
-	return memoHitsTotal.Load(), memoMissesTotal.Load()
-}
-
-// QueriesTotal reports process-wide CheckLits calls.
-func QueriesTotal() int64 { return internalQueries.Load() }
-
-// ReusedLevelsTotal reports process-wide assumption decision levels kept
-// alive across queries by the batched front-end (levels the solver did not
-// have to re-decide and re-propagate).
-func ReusedLevelsTotal() int64 { return reusedLevelsTotal.Load() }
-
-// PortfolioTotals reports process-wide portfolio races run and the races a
-// seeded clone (rather than the primary) decided.
-func PortfolioTotals() (races, cloneWins int64) {
-	return portfolioRaces.Load(), portfolioCloneWins.Load()
-}
 
 type hashEntry struct {
 	e    *expr.Expr
@@ -691,14 +659,8 @@ func (b *BV) CheckLits(lits []Lit) Status {
 	b.sat.MaxConflicts = b.MaxConflicts
 	b.sat.Reuse = b.Reuse
 	b.sat.NoReduce = b.NoReduce
-	b.sat.RestartBase = b.RestartBase
 	prevReused := b.sat.ReusedLevels
-	var st Status
-	if b.Portfolio > 0 && b.MaxConflicts > 0 {
-		st = b.solvePortfolio(lits)
-	} else {
-		st = b.sat.Solve(lits)
-	}
+	st := b.sat.Solve(lits)
 	reusedLevelsTotal.Add(b.sat.ReusedLevels - prevReused)
 	if st == Unknown {
 		// Unknown is a statement about the budget, not the formula: it must
@@ -743,56 +705,6 @@ func (b *BV) validateHit(lits []Lit, m []bool, path string) {
 			panic(fmt.Sprintf("solver: %s hit model falsifies assumption %d", path, l))
 		}
 	}
-}
-
-// solvePortfolio runs one query as a race: the primary solver plus
-// b.Portfolio deep clones, each clone searching under a distinct
-// deterministic Seed (different restart cadence and decision-polarity
-// perturbation). The primary's verdict wins whenever it is decisive — the
-// clones are stopped via their Stop flag and their results discarded, so
-// the primary's state trajectory is exactly what it would have been
-// without the portfolio. Only when the primary exhausts its conflict
-// budget are the clones joined, and the first decisive clone by index
-// supplies the verdict (and model, for Sat). Every clone runs a
-// deterministic bounded search, so the adjudicated answer is a pure
-// function of the query sequence — independent of scheduling.
-func (b *BV) solvePortfolio(lits []Lit) Status {
-	n := b.Portfolio
-	portfolioRaces.Add(1)
-	var stop int32
-	sts := make([]Status, n)
-	clones := make([]*CDCL, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		c := b.sat.Clone()
-		c.Seed = splitmix64(uint64(i) + 1)
-		c.Stop = &stop
-		clones[i] = c
-		wg.Add(1)
-		go func(i int, c *CDCL) {
-			defer wg.Done()
-			sts[i] = c.Solve(lits)
-		}(i, c)
-	}
-	st := b.sat.Solve(lits)
-	if st != Unknown {
-		atomic.StoreInt32(&stop, 1)
-		wg.Wait()
-		return st
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if sts[i] != Unknown {
-			portfolioCloneWins.Add(1)
-			if sts[i] == Sat {
-				// The clone's snapshot is immutable like the primary's, so
-				// adopting it is a pointer swap.
-				b.sat.SetModel(clones[i].Model())
-			}
-			return sts[i]
-		}
-	}
-	return Unknown
 }
 
 // memoKey canonicalizes an assumption set into a map key: sort a copy (the
@@ -850,6 +762,3 @@ func (b *BV) valueOf(lits []Lit) uint64 {
 
 // NumClauses reports the size of the underlying CNF, for diagnostics.
 func (b *BV) NumClauses() int { return b.sat.NumClauses() }
-
-// NumVarsSAT reports the number of SAT variables allocated.
-func (b *BV) NumVarsSAT() int { return b.sat.NumVars() }

@@ -87,18 +87,18 @@ func FuzzArenaCompact(f *testing.F) {
 	})
 }
 
-// FuzzLubyRestart checks the restart machinery: with any Seed and an
-// aggressive restart schedule (RestartBase=1), (1) two identically
-// configured solvers produce bit-identical verdicts, models, and search
-// statistics over the same query sequence — the Luby schedule is a pure
-// function of the seed, never of wall clock or memory layout; and (2) the
+// FuzzLubyRestart checks the restart machinery: with an aggressive restart
+// schedule (RestartBase=1), (1) two identically configured solvers produce
+// bit-identical verdicts, models, and search statistics over the same
+// query sequence — the Luby schedule is a pure function of the query
+// sequence, never of wall clock or memory layout; and (2) the
 // verdicts match a restart-free run of the same formula, so restarting can
 // reorder the search but never change an answer.
 func FuzzLubyRestart(f *testing.F) {
-	f.Add(uint64(1), []byte{2, 5, 9, 11, 14, 3, 7, 21, 8})
-	f.Add(uint64(42), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add(uint64(0), []byte{0, 1, 0, 3, 2, 5, 255, 254, 253, 6, 6, 6})
-	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+	f.Add([]byte{2, 5, 9, 11, 14, 3, 7, 21, 8})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{0, 1, 0, 3, 2, 5, 255, 254, 253, 6, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
@@ -116,7 +116,6 @@ func FuzzLubyRestart(f *testing.F) {
 			for v := 0; v < nVars; v++ {
 				s.NewVar()
 			}
-			s.Seed = seed
 			s.RestartBase = restartBase
 			s.ReduceBase = 4
 			for _, c := range clauses {

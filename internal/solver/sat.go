@@ -11,7 +11,6 @@ package solver
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Lit is a SAT literal: variable index v encoded as 2v (positive) or
@@ -153,18 +152,6 @@ type CDCL struct {
 
 	// RestartBase scales the Luby restart sequence (0 = default 100).
 	RestartBase int64
-
-	// Seed perturbs the decision heuristic and restart schedule
-	// deterministically — portfolio clones run the same query under
-	// different seeds so at least one may escape a hard search region.
-	// Zero means the unperturbed default heuristics.
-	Seed uint64
-	rng  uint64
-
-	// Stop, when non-nil, is polled once per conflict; setting it to a
-	// non-zero value makes Solve return Unknown at the next conflict. The
-	// portfolio front-end uses it to retire losing clones early.
-	Stop *int32
 }
 
 // NewSat returns an empty solver.
@@ -172,62 +159,9 @@ func NewSat() *CDCL {
 	return &CDCL{ok: true, varInc: 1.0}
 }
 
-// NumVars returns the number of allocated variables.
-func (s *CDCL) NumVars() int { return len(s.assign) / 2 }
-
 // NumClauses returns the number of clauses currently attached (problem
 // plus retained learned clauses).
 func (s *CDCL) NumClauses() int { return s.nclauses }
-
-// Clone deep-copies the solver — the clause arena included, since
-// propagate reorders literals in place — so a portfolio clone can search
-// the same formula under a different Seed without sharing any mutable
-// state with the primary. The model snapshot is shared: it is immutable
-// once taken.
-func (s *CDCL) Clone() *CDCL {
-	c := &CDCL{
-		nclauses:     s.nclauses,
-		qhead:        s.qhead,
-		varInc:       s.varInc,
-		lbdToken:     s.lbdToken,
-		ok:           s.ok,
-		model:        s.model,
-		Conflicts:    s.Conflicts,
-		Decisions:    s.Decisions,
-		Props:        s.Props,
-		Restarts:     s.Restarts,
-		Reduces:      s.Reduces,
-		Removed:      s.Removed,
-		MaxConflicts: s.MaxConflicts,
-		Reuse:        s.Reuse,
-		ReusedLevels: s.ReusedLevels,
-		NoReduce:     s.NoReduce,
-		ReduceBase:   s.ReduceBase,
-		reduceNext:   s.reduceNext,
-		RestartBase:  s.RestartBase,
-		Seed:         s.Seed,
-		rng:          s.rng,
-	}
-	c.arena = append([]int32(nil), s.arena...)
-	c.learntRefs = append([]int32(nil), s.learntRefs...)
-	c.watches = make([][]watcher, len(s.watches))
-	for i, w := range s.watches {
-		c.watches[i] = append([]watcher(nil), w...)
-	}
-	c.assign = append([]int8(nil), s.assign...)
-	c.level = append([]int32(nil), s.level...)
-	c.reason = append([]int32(nil), s.reason...)
-	c.trail = append([]Lit(nil), s.trail...)
-	c.trailLim = append([]int(nil), s.trailLim...)
-	c.activity = append([]float64(nil), s.activity...)
-	c.phase = append([]bool(nil), s.phase...)
-	c.seen = append([]bool(nil), s.seen...)
-	c.lbdStamp = append([]int64(nil), s.lbdStamp...)
-	c.keptAssumps = append([]Lit(nil), s.keptAssumps...)
-	c.heap.heap = append([]int(nil), s.heap.heap...)
-	c.heap.pos = append([]int(nil), s.heap.pos...)
-	return c
-}
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *CDCL) NewVar() int {
@@ -822,9 +756,6 @@ func (s *CDCL) Solve(assumps []Lit) Status {
 	if restartBase == 0 {
 		restartBase = 100
 	}
-	if s.Seed != 0 {
-		restartBase += int64(s.Seed % 97)
-	}
 	restartNum := int64(1)
 	conflictBudget := restartBase * luby(restartNum)
 	conflictsHere := int64(0)
@@ -835,10 +766,6 @@ func (s *CDCL) Solve(assumps []Lit) Status {
 			s.Conflicts++
 			conflictsHere++
 			conflictsTotalHere++
-			if s.Stop != nil && atomic.LoadInt32(s.Stop) != 0 {
-				s.cancelUntil(0)
-				return Unknown
-			}
 			if s.MaxConflicts > 0 && conflictsTotalHere > s.MaxConflicts {
 				// Budget exhausted: back out cleanly. Clauses learned so
 				// far stay attached (they are implied, so later calls
@@ -923,25 +850,9 @@ func (s *CDCL) Solve(assumps []Lit) Status {
 			return Sat
 		}
 		s.Decisions++
-		pol := !s.phase[v]
-		if s.Seed != 0 {
-			s.rng = splitmix64(s.rng + s.Seed)
-			if s.rng&31 == 0 {
-				pol = !pol
-			}
-		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(MkLit(v, pol), noReason)
+		s.enqueue(MkLit(v, !s.phase[v]), noReason)
 	}
-}
-
-// splitmix64 advances a splitmix64 PRNG state; used only for the seeded
-// portfolio heuristic perturbation, never on the default path.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // varHeap is a binary max-heap of variables ordered by activity.

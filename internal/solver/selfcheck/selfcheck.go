@@ -10,8 +10,8 @@ import (
 	"pokeemu/internal/symex"
 )
 
-// splitmix64 mirrors the solver's deterministic PRNG so the harness's
-// random instances are reproducible from a seed alone.
+// splitmix64 is a small deterministic PRNG step, so the harness's random
+// instances are reproducible from a seed alone.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -80,10 +80,10 @@ func newCDCL(nVars int, clauses [][]solver.Lit, tune func(*solver.CDCL)) *solver
 }
 
 // RandomDifferential cross-checks the production configuration (reduceDB
-// forced aggressive, restarts, optionally seeded), the frozen reference
-// configuration (no reduction — the pre-overhaul solver behavior), and the
-// independent DPLL solver over seeded random 3-SAT instances and
-// incremental assumption-sequence workloads. Every verdict must agree.
+// forced aggressive, restarts), the frozen reference configuration (no
+// reduction — the pre-overhaul solver behavior), and the independent DPLL
+// solver over seeded random 3-SAT instances and incremental
+// assumption-sequence workloads. Every verdict must agree.
 // With solver.Validate on (the harness tests enable it), every Sat model
 // is additionally checked against the full clause set.
 func RandomDifferential(seeds int) error {
@@ -96,14 +96,6 @@ func RandomDifferential(seeds int) error {
 			// instances so arena compaction is actually exercised.
 			{"arena+reduce", func() *solver.CDCL {
 				return newCDCL(nVars, clauses, func(s *solver.CDCL) { s.ReduceBase = 20 })
-			}},
-			// Production shape under a portfolio-style seed (perturbed
-			// restarts and polarities).
-			{"arena+reduce+seed", func() *solver.CDCL {
-				return newCDCL(nVars, clauses, func(s *solver.CDCL) {
-					s.ReduceBase = 20
-					s.Seed = splitmix64(seed)
-				})
 			}},
 			// Frozen reference: learned clauses are never dropped.
 			{"reference", func() *solver.CDCL {

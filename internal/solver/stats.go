@@ -3,11 +3,10 @@ package solver
 import "sync/atomic"
 
 // Process-wide CDCL core counters, aggregated across every solver instance
-// — including portfolio clones, which add their deltas when their Solve
-// call returns. Everything here is atomic so the pokeemud /metrics
-// endpoint can snapshot mid-campaign without racing the workers (a clone
-// may still be mutating its own non-atomic per-instance fields, but those
-// are never read across goroutines; only these totals are).
+// when its Solve call returns. Everything here is atomic so the pokeemud
+// /metrics endpoint can snapshot mid-campaign without racing the workers (a
+// solver may still be mutating its own non-atomic per-instance fields, but
+// those are never read across goroutines; only these totals are).
 var (
 	conflictsTotal     atomic.Int64
 	decisionsTotal     atomic.Int64
@@ -22,40 +21,50 @@ var (
 // counters: each field is individually exact at some instant (all reads
 // are atomic), which is the contract /metrics needs.
 type Stats struct {
-	Queries            int64 // CheckLits calls
-	MemoHits           int64 // answered from the assumption-set memo
-	MemoMisses         int64 // reached the SAT core
-	SubsumeHits        int64 // answered by the model-subsumption fast path
-	ReusedLevels       int64 // assumption levels kept alive by the batched front-end
-	Conflicts          int64
-	Decisions          int64
-	Propagations       int64
-	Restarts           int64
-	ReduceRuns         int64 // reduceDB passes
-	ReduceRemoved      int64 // learned clauses dropped by reduceDB
-	PortfolioRaces     int64
-	PortfolioCloneWins int64
+	Queries       int64 // CheckLits calls
+	MemoHits      int64 // answered from the assumption-set memo
+	MemoMisses    int64 // reached the SAT core
+	SubsumeHits   int64 // answered by the model-subsumption fast path
+	ReusedLevels  int64 // assumption levels kept alive by the batched front-end
+	Conflicts     int64
+	Decisions     int64
+	Propagations  int64
+	Restarts      int64
+	ReduceRuns    int64 // reduceDB passes
+	ReduceRemoved int64 // learned clauses dropped by reduceDB
 }
 
 // StatsSnapshot returns the process-wide solver counters. Safe to call
 // concurrently with in-flight solves; every field is loaded atomically.
 func StatsSnapshot() Stats {
 	return Stats{
-		Queries:            internalQueries.Load(),
-		MemoHits:           memoHitsTotal.Load(),
-		MemoMisses:         memoMissesTotal.Load(),
-		SubsumeHits:        subsumeHitsTotal.Load(),
-		ReusedLevels:       reusedLevelsTotal.Load(),
-		Conflicts:          conflictsTotal.Load(),
-		Decisions:          decisionsTotal.Load(),
-		Propagations:       propsTotal.Load(),
-		Restarts:           restartsTotal.Load(),
-		ReduceRuns:         reduceRunsTotal.Load(),
-		ReduceRemoved:      reduceRemovedTotal.Load(),
-		PortfolioRaces:     portfolioRaces.Load(),
-		PortfolioCloneWins: portfolioCloneWins.Load(),
+		Queries:       internalQueries.Load(),
+		MemoHits:      memoHitsTotal.Load(),
+		MemoMisses:    memoMissesTotal.Load(),
+		SubsumeHits:   subsumeHitsTotal.Load(),
+		ReusedLevels:  reusedLevelsTotal.Load(),
+		Conflicts:     conflictsTotal.Load(),
+		Decisions:     decisionsTotal.Load(),
+		Propagations:  propsTotal.Load(),
+		Restarts:      restartsTotal.Load(),
+		ReduceRuns:    reduceRunsTotal.Load(),
+		ReduceRemoved: reduceRemovedTotal.Load(),
 	}
 }
 
-// SubsumeHitsTotal reports process-wide model-subsumption fast-path hits.
-func SubsumeHitsTotal() int64 { return subsumeHitsTotal.Load() }
+// Sub returns the counter activity between the snapshots base and s.
+func (s Stats) Sub(base Stats) Stats {
+	return Stats{
+		Queries:       s.Queries - base.Queries,
+		MemoHits:      s.MemoHits - base.MemoHits,
+		MemoMisses:    s.MemoMisses - base.MemoMisses,
+		SubsumeHits:   s.SubsumeHits - base.SubsumeHits,
+		ReusedLevels:  s.ReusedLevels - base.ReusedLevels,
+		Conflicts:     s.Conflicts - base.Conflicts,
+		Decisions:     s.Decisions - base.Decisions,
+		Propagations:  s.Propagations - base.Propagations,
+		Restarts:      s.Restarts - base.Restarts,
+		ReduceRuns:    s.ReduceRuns - base.ReduceRuns,
+		ReduceRemoved: s.ReduceRemoved - base.ReduceRemoved,
+	}
+}

@@ -28,26 +28,15 @@ type Options struct {
 	// to symex as path seeds. Deterministic: a pure function of the
 	// assignment, never of scheduling.
 	Guide map[string]uint64
-	// NoSolverBatch disables the batched solver front-end (assumption-trail
-	// reuse across the sibling queries of one task). The negative sense
-	// keeps the zero-value Options on the fast default.
+	// NoSolverBatch, NoSubsume and NoReduceDB turn off the solver's
+	// batched front-end (assumption-trail reuse across the sibling queries
+	// of one task), its model-subsumption fast path and its learned-clause
+	// reduction. Production exploration runs with all three on (the zero
+	// value); the solver self-check explores with all three off as its
+	// reference configuration, which must find the same path structure.
 	NoSolverBatch bool
-	// NoSubsume disables the model-subsumption fast path between sibling
-	// path-condition queries (a query whose assumptions all hold under the
-	// last Sat model is answered Sat without solving). Verdicts — and
-	// hence the explored path set — are identical either way; only the
-	// emitted models move, which SerialVersion 4 accounts for. The
-	// negative sense keeps the zero-value Options on the fast default.
-	NoSubsume bool
-	// NoReduceDB freezes the solver's learned-clause database (disables
-	// the periodic LBD-based reduceDB pass).
-	NoReduceDB bool
-	// RestartBase overrides the solver's Luby restart unit (0 = default).
-	RestartBase int
-	// Portfolio races that many deterministically-seeded solver clones
-	// against the primary on budgeted queries (0 = off). Answers are a pure
-	// function of the query sequence; only wall-clock changes.
-	Portfolio int
+	NoSubsume     bool
+	NoReduceDB    bool
 }
 
 // DefaultOptions mirror the paper's configuration.
@@ -137,10 +126,8 @@ func NewEngine(initial *SymState, sideConds []*expr.Expr, opts Options) *Engine 
 		initial: initial,
 	}
 	en.bv.Reuse = !opts.NoSolverBatch
-	en.bv.Portfolio = opts.Portfolio
 	en.bv.Subsume = !opts.NoSubsume
 	en.bv.NoReduce = opts.NoReduceDB
-	en.bv.RestartBase = int64(opts.RestartBase)
 	for _, c := range sideConds {
 		if c == nil {
 			continue

@@ -134,15 +134,6 @@ const (
 	ExcAC = 17 // alignment check
 )
 
-// ExcHasErrCode reports whether the CPU pushes an error code for vector v.
-func ExcHasErrCode(v uint8) bool {
-	switch v {
-	case ExcDF, ExcTS, ExcNP, ExcSS, ExcGP, ExcPF, ExcAC:
-		return true
-	}
-	return false
-}
-
 // Page-table entry bits (PDE and PTE share the low flag layout).
 const (
 	PteP   = 1 << 0
@@ -179,9 +170,6 @@ const (
 	AttrDB       = 1 << 10
 	AttrG        = 1 << 11
 )
-
-// DPL extracts the descriptor privilege level from an Attr value.
-func DPL(attr uint16) uint8 { return uint8(attr>>AttrDPLShift) & 3 }
 
 // Model-specific registers supported by the subset. RDMSR/WRMSR of any other
 // index raises #GP(0) — the check QEMU was found to skip.

@@ -265,21 +265,6 @@ func (c *ctx) rmWrite(o rmOperand, v ir.Operand) {
 	c.memStore(o.mem, v)
 }
 
-// opWidth returns the data width in bits for an operand kind.
-func (c *ctx) opWidth(k x86.OperandKind) uint8 {
-	switch k {
-	case x86.OpdRM8, x86.OpdR8, x86.OpdAL, x86.OpdImm8, x86.OpdRegOp8,
-		x86.OpdMoffs8, x86.OpdCL:
-		return 8
-	case x86.OpdRM16, x86.OpdImm16:
-		return 16
-	case x86.OpdRMv, x86.OpdRv, x86.OpdEAXv, x86.OpdImmv, x86.OpdImm8s,
-		x86.OpdRegOpv, x86.OpdMoffsv:
-		return c.osz
-	}
-	return 32
-}
-
 // immOperand returns the (already extended) first immediate at width w.
 func (c *ctx) immOperand(w uint8) ir.Operand {
 	return c.konst(w, c.inst.Imm)
