@@ -32,6 +32,7 @@ import (
 	"pokeemu/internal/coverage"
 	"pokeemu/internal/diff"
 	"pokeemu/internal/expr"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/hybrid"
@@ -299,7 +300,7 @@ type Degraded struct {
 	Execs        int `json:"execs,omitempty"`         // test executions lost (crash, budget, deadline)
 	CorpusWrites int `json:"corpus_writes,omitempty"` // cache entries that failed to persist (results still in-memory)
 	CorpusReads  int `json:"corpus_reads,omitempty"`  // cache reads that failed and were recomputed
-	HybridExecs  int `json:"hybrid_execs,omitempty"`  // hybrid mutation jobs that spent budget without a candidate
+	HybridExecs  int `json:"hybrid_execs,omitempty"`  // hybrid seed, mutation or trio runs lost to a fault or crash
 
 	// Reasons aggregates why, keyed by fixed reason strings (or the
 	// deterministic fault message for crashed units).
@@ -332,6 +333,12 @@ type Fault struct {
 	Key   string // instruction key or test ID
 	Err   string
 }
+
+// panicFault renders a worker panic recovered by the pool as the unit's
+// fault record: the panic value only, since stack traces contain addresses,
+// which would break report determinism. One crashing handler thus costs one
+// fault result, not the whole run.
+func panicFault(p any) string { return fmt.Sprintf("panic: %v", p) }
 
 // Result aggregates a campaign.
 type Result struct {
@@ -599,7 +606,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	emit(StageExplore, "", 0, len(instrs))
 	var exploreDone atomic.Int64
 	exploreCtx, exploreCancel := stageCtx()
-	instrFaults, instrRan := runPool(exploreCtx, workers, len(instrs), func(i int) {
+	instrPanics, instrRan := fanout.Run(exploreCtx, workers, len(instrs), func(i int) {
 		defer func() {
 			emit(StageExplore, instrs[i].Key(), int(exploreDone.Add(1)), len(instrs))
 		}()
@@ -700,8 +707,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			// fault (the instruction contributed nothing) and a degraded
 			// unit, never a silent omission.
 			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: ReasonStageDeadline}}
-		} else if msg := instrFaults[i]; msg != "" {
-			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: msg}}
+		} else if p := instrPanics[i]; p != nil {
+			*o = instrOut{rep: &InstrReport{Key: instrs[i].Key(), Fault: panicFault(p)}}
 		}
 		if o.err != nil {
 			return nil, o.err
@@ -768,7 +775,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	emit(StageExecute, "", 0, len(tests))
 	var execDone atomic.Int64
 	execCtx, execCancel := stageCtx()
-	execFaults, execRan := runPool(execCtx, workers, len(tests), func(i int) {
+	execPanics, execRan := fanout.Run(execCtx, workers, len(tests), func(i int) {
 		defer func() {
 			emit(StageExecute, tests[i].id, int(execDone.Add(1)), len(tests))
 		}()
@@ -829,8 +836,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		o := &outcomes[i]
 		if !execRan[i] {
 			o.fault = ReasonStageDeadline
-		} else if msg := execFaults[i]; msg != "" {
-			o.fault = msg
+		} else if p := execPanics[i]; p != nil {
+			o.fault = panicFault(p)
 		}
 		if o.putErr != nil {
 			res.Degraded.CorpusWrites++
@@ -1016,8 +1023,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.HybridUsed = true
 		res.HybridStats = hres.Stats
 		res.HybridDivs = hres.Divergences
-		// Skipped mutation jobs spent budget without producing a candidate
-		// (injected faults, chaos runs): ledger them like any other loss.
+		// Skipped hybrid runs (a fault-skipped mutation job, a crashed seed
+		// coverage run or trio) produced no verdict: ledger them like any
+		// other loss.
 		if n := hres.Stats.Skipped; n > 0 {
 			res.Degraded.HybridExecs = n
 			for i := 0; i < n; i++ {

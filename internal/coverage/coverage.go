@@ -1,10 +1,10 @@
 // Package coverage implements the compact edge-coverage map behind hybrid
 // campaigns: an AFL-style fixed-size table of hashed edge counters with
 // bucketed hit counts, deterministic signatures for input deduplication,
-// and the merge/diff/rarity operations the mutational fuzzer's scheduler
-// needs. A Map records one execution; a Global accumulates a whole corpus
-// and remembers how many inputs reached each edge, which is what makes
-// rare-edge-favoring scheduling cheap.
+// and the rarity signal the mutational fuzzer's scheduler needs. A Map
+// records one execution; a Global accumulates a whole corpus and remembers
+// how many inputs reached each edge, which is what makes rare-edge-favoring
+// scheduling cheap.
 package coverage
 
 // MapBits sizes the edge table; 2^16 counters keeps the map at 128 KiB and
@@ -133,45 +133,6 @@ func (m *Map) Signature() uint64 {
 	return h
 }
 
-// Merge folds another execution's counters into m (saturating add),
-// returning how many edges were new to m.
-func (m *Map) Merge(o *Map) int {
-	newEdges := 0
-	for i, c := range o.counts {
-		if c == 0 {
-			continue
-		}
-		if m.counts[i] == 0 {
-			newEdges++
-		}
-		if s := uint32(m.counts[i]) + uint32(c); s > uint32(^uint16(0)) {
-			m.counts[i] = ^uint16(0)
-		} else {
-			m.counts[i] = uint16(s)
-		}
-	}
-	return newEdges
-}
-
-// Diff returns the edges hit by m but not by o, ascending — the "what did
-// this input reach that the baseline did not" question.
-func (m *Map) Diff(o *Map) []uint32 {
-	var out []uint32
-	for i, c := range m.counts {
-		if c != 0 && o.counts[i] == 0 {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
-// Reset clears the map for reuse.
-func (m *Map) Reset() {
-	for i := range m.counts {
-		m.counts[i] = 0
-	}
-}
-
 // Global accumulates corpus-wide coverage: the set of (edge, bucket)
 // classes any input has reached, and the number of inputs that hit each
 // edge. The latter is the scheduler's rarity signal.
@@ -211,9 +172,6 @@ func (g *Global) AddInput(m *Map) (newEdges, newBits int) {
 // Edges returns the number of distinct edges any input has hit.
 func (g *Global) Edges() int { return g.edges }
 
-// InputsAt returns how many inputs hit an edge.
-func (g *Global) InputsAt(idx uint32) uint32 { return g.inputs[idx] }
-
 // Rarity counts how many of the given edges at most maxHits inputs have
 // reached — the scheduling weight of an input holding those edges.
 func (g *Global) Rarity(edges []uint32, maxHits uint32) int {
@@ -224,16 +182,4 @@ func (g *Global) Rarity(edges []uint32, maxHits uint32) int {
 		}
 	}
 	return n
-}
-
-// RareEdges returns every edge reached by at most maxHits inputs,
-// ascending.
-func (g *Global) RareEdges(maxHits uint32) []uint32 {
-	var out []uint32
-	for i, c := range g.inputs {
-		if c > 0 && c <= maxHits {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
 }

@@ -26,18 +26,19 @@
 package equivcheck
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pokeemu/internal/core"
 	"pokeemu/internal/corpus"
 	"pokeemu/internal/diff"
 	"pokeemu/internal/expr"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/ir"
 	"pokeemu/internal/machine"
@@ -265,49 +266,25 @@ func Run(opts Options) (*Report, error) {
 	start := time.Now()
 	env := &checkEnv{image: machine.BaselineImage(), boot: testgen.BaselineInit()}
 	results := make([]*HandlerVerdict, len(us))
-	var next int64 = -1
-	var cacheHits, cacheMisses int64
-	var wg sync.WaitGroup
-	workers := opts.Workers
-	if workers > len(us) {
-		workers = len(us)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(us) {
-					return
-				}
-				v := checkHandler(us[i], &opts, env)
-				if v.Cached {
-					atomic.AddInt64(&cacheHits, 1)
-				} else {
-					atomic.AddInt64(&cacheMisses, 1)
-				}
-				results[i] = v
-			}
-		}()
-	}
-	wg.Wait()
+	// checkHandler recovers its own panics into UNKNOWN verdicts, so the
+	// pool's panic record stays empty.
+	fanout.Run(context.TODO(), opts.Workers, len(us), func(i int) {
+		results[i] = checkHandler(us[i], &opts, env)
+	})
 
 	rep := &Report{
 		Config:   ConfigLabel,
 		PathCap:  opts.MaxPaths,
 		Budget:   opts.Budget,
 		Handlers: results,
-		Timing: &Timing{
-			Wall:        time.Since(start),
-			CacheHits:   int(cacheHits),
-			CacheMisses: int(cacheMisses),
-		},
+		Timing:   &Timing{Wall: time.Since(start)},
 	}
 	for _, v := range results {
+		if v.Cached {
+			rep.Timing.CacheHits++
+		} else {
+			rep.Timing.CacheMisses++
+		}
 		switch v.Verdict {
 		case VerdictEquiv:
 			rep.Equiv++

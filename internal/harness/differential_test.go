@@ -282,7 +282,7 @@ func TestThreeWayAgreementOnBenignPrograms(t *testing.T) {
 	clearPTE(image, 0x00350000) // for the pf-read program
 	factories := []Factory{FidelisFactory(), CelerFactory(), HardwareFactory()}
 	for name, prog := range agreementPrograms() {
-		results := RunAll(factories, image, prog, 0)
+		results := RunAllBoot(factories, image, nil, prog, 0)
 		filter := diff.Filter{EFLAGSMask: x86.StatusFlags} // benign battery:
 		// flag-precision is compared separately below; here we check
 		// architecture state, memory, and exceptions.
@@ -320,7 +320,7 @@ func TestDefinedFlagsAgree(t *testing.T) {
 			[]byte{0xf7, 0xf1}, hlt)},
 	}
 	for _, c := range cases {
-		results := RunAll(factories, image, c.prog, 0)
+		results := RunAllBoot(factories, image, nil, c.prog, 0)
 		filter := diff.UndefFilterFor(c.handler)
 		for i := 1; i < len(results); i++ {
 			ds := diff.Compare(results[0].Snapshot, results[i].Snapshot, filter)

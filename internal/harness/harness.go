@@ -200,15 +200,6 @@ func RunBootBudget(f Factory, image *machine.Memory, bootCode, program []byte, b
 	return res
 }
 
-// RunAll executes the program on every implementation.
-func RunAll(factories []Factory, image *machine.Memory, program []byte, maxSteps int) []*Result {
-	out := make([]*Result, len(factories))
-	for i, f := range factories {
-		out[i] = Run(f, image, program, maxSteps)
-	}
-	return out
-}
-
 // RunAllBoot executes a bootable test (baseline initializer + program) on
 // every implementation.
 func RunAllBoot(factories []Factory, image *machine.Memory, bootCode, program []byte, maxSteps int) []*Result {

@@ -144,7 +144,7 @@ func TestOracleVectorsFourWay(t *testing.T) {
 
 			// Oracles 3 and 4: the emulators executing the instruction form.
 			prog := v.program()
-			for _, res := range RunAll(emulators, image, prog, 0) {
+			for _, res := range RunAllBoot(emulators, image, nil, prog, 0) {
 				if res.Snapshot.Exception != nil {
 					t.Fatalf("%s raised %v", res.Impl, res.Snapshot.Exception)
 				}
@@ -305,7 +305,7 @@ func TestOracleVectorsRotate(t *testing.T) {
 			}
 
 			masked := v.b & 0x1f
-			for _, res := range RunAll(emulators, image, v.program(), 0) {
+			for _, res := range RunAllBoot(emulators, image, nil, v.program(), 0) {
 				if res.Snapshot.Exception != nil {
 					t.Fatalf("%s raised %v", res.Impl, res.Snapshot.Exception)
 				}
@@ -402,7 +402,7 @@ func TestOracleVectorsAdjust(t *testing.T) {
 				t.Errorf("bit-blaster: %#x, evaluator: %#x", got, want)
 			}
 
-			for _, res := range RunAll(emulators, image, v.program(), 0) {
+			for _, res := range RunAllBoot(emulators, image, nil, v.program(), 0) {
 				if res.Snapshot.Exception != nil {
 					t.Fatalf("%s raised %v", res.Impl, res.Snapshot.Exception)
 				}
@@ -427,7 +427,7 @@ func TestOracleVectorsAamZero(t *testing.T) {
 		t.Errorf("eval aam 0 = %#x, want %#x", got, want)
 	}
 	image := machine.BaselineImage()
-	for _, res := range RunAll([]Factory{FidelisFactory(), CelerFactory(), LentoFactory()}, image, v.program(), 0) {
+	for _, res := range RunAllBoot([]Factory{FidelisFactory(), CelerFactory(), LentoFactory()}, image, nil, v.program(), 0) {
 		ex := res.Snapshot.Exception
 		if ex == nil || ex.Vector != 0 {
 			t.Errorf("%s: aam 0 raised %v, want #DE (vector 0)", res.Impl, ex)
@@ -466,7 +466,7 @@ func TestOracleVectorsDivideByZero(t *testing.T) {
 	image := machine.BaselineImage()
 	prog := cat(x86.AsmMovRegImm32(x86.EDX, 0), x86.AsmMovRegImm32(x86.EAX, 1234),
 		x86.AsmMovRegImm32(x86.ECX, 0), []byte{0xf7, 0xf1}, hlt)
-	for _, res := range RunAll([]Factory{FidelisFactory(), CelerFactory(), LentoFactory()}, image, prog, 0) {
+	for _, res := range RunAllBoot([]Factory{FidelisFactory(), CelerFactory(), LentoFactory()}, image, nil, prog, 0) {
 		ex := res.Snapshot.Exception
 		if ex == nil || ex.Vector != 0 {
 			t.Errorf("%s: divide by zero raised %v, want #DE (vector 0)", res.Impl, ex)

@@ -23,20 +23,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pokeemu/internal/core"
 	"pokeemu/internal/coverage"
 	"pokeemu/internal/diff"
-	"pokeemu/internal/emu"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/faults"
-	"pokeemu/internal/fidelis"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/machine"
 	"pokeemu/internal/testgen"
 	"pokeemu/internal/x86"
-	"pokeemu/internal/x86/sem"
 )
 
 // Version identifies the fuzzer algorithm (operators, scheduling, reseed);
@@ -72,6 +68,9 @@ type Config struct {
 	// back to its exploration identity.
 	Explorer func() (*core.Explorer, error)
 	Instrs   []*core.UniqueInstr
+
+	// testHookTrio, when set, runs at the start of each differential trio.
+	testHookTrio func(id string)
 }
 
 // Seed is one symex-generated test seeding the fuzzer, with the campaign's
@@ -127,7 +126,7 @@ type Stats struct {
 	Seeds          int `json:"seeds"`
 	SeedSignatures int `json:"seed_signatures"` // distinct sigs among seeds (the pure-symex yield)
 	Execs          int `json:"execs"`           // mutated executions spent
-	Skipped        int `json:"skipped"`         // mutation jobs skipped (injected faults)
+	Skipped        int `json:"skipped"`         // pool slots lost to injected faults or crashes
 	Deduped        int `json:"deduped"`         // candidates dropped by signature
 	NewCoverage    int `json:"new_coverage"`    // admitted inputs with new (edge,bucket) bits
 	Divergent      int `json:"divergent"`       // admitted mutated inputs that diverged
@@ -181,6 +180,11 @@ type fuzzer struct {
 	sigs   map[uint64]bool
 	byHand map[string]*handlerCov
 	res    *Result
+
+	// The trio's Lo-Fi and hardware factories are built once per stage, so
+	// every candidate reuses one celer TB cache and one hardware IR cache
+	// (as the campaign's execute stage does).
+	celer, hardware harness.Factory
 }
 
 type handlerCov struct {
@@ -190,7 +194,6 @@ type handlerCov struct {
 
 // candidate is one job's output before the canonical merge.
 type candidate struct {
-	skipped  bool
 	parent   *Input
 	op       string
 	prog     []byte
@@ -224,14 +227,7 @@ func Run(ctx context.Context, cfg Config, seeds []Seed) (*Result, error) {
 	} else if cfg.MaxReseeds == 0 {
 		cfg.MaxReseeds = DefaultMaxReseeds
 	}
-	f := &fuzzer{
-		cfg:    cfg,
-		budget: harness.Budget{MaxSteps: cfg.MaxSteps},
-		global: coverage.NewGlobal(),
-		sigs:   make(map[uint64]bool),
-		byHand: make(map[string]*handlerCov),
-		res:    &Result{},
-	}
+	f := newFuzzer(cfg)
 	f.evalSeeds(ctx, seeds)
 	if len(f.res.Inputs) > 0 {
 		round := 0
@@ -247,6 +243,19 @@ func Run(ctx context.Context, cfg Config, seeds []Seed) (*Result, error) {
 	}
 	f.finalize()
 	return f.res, nil
+}
+
+func newFuzzer(cfg Config) *fuzzer {
+	return &fuzzer{
+		cfg:      cfg,
+		budget:   harness.Budget{MaxSteps: cfg.MaxSteps},
+		global:   coverage.NewGlobal(),
+		sigs:     make(map[uint64]bool),
+		byHand:   make(map[string]*handlerCov),
+		res:      &Result{},
+		celer:    harness.CelerFactory(),
+		hardware: harness.HardwareFactory(),
+	}
 }
 
 // coverRun executes one input on the instrumented Hi-Fi interpreter.
@@ -280,18 +289,23 @@ func (f *fuzzer) admit(in *Input, cov *coverage.Map) {
 func (f *fuzzer) evalSeeds(ctx context.Context, seeds []Seed) {
 	f.res.Stats.Seeds = len(seeds)
 	covs := make([]*coverage.Map, len(seeds))
-	runPool(ctx, f.cfg.Workers, len(seeds), func(i int) {
+	panics, ran := fanout.Run(ctx, f.cfg.Workers, len(seeds), func(i int) {
 		covs[i], _ = f.coverRun(seeds[i].Prog)
 	})
 	seen := make(map[uint64]bool)
 	for i, s := range seeds {
-		if covs[i] == nil {
-			continue // canceled or crashed slot; deterministic only pre-cancel
+		if !ran[i] {
+			continue // canceled slot; deterministic only pre-cancel
 		}
 		// Every seed's divergence verdict is carried over — even a seed whose
-		// coverage duplicates an earlier one — so the hybrid report reproduces
-		// the campaign's full known-divergence set.
+		// coverage duplicates an earlier one, or whose coverage run crashed —
+		// so the hybrid report reproduces the campaign's full known-divergence
+		// set.
 		f.res.Divergences = append(f.res.Divergences, s.Divs...)
+		if panics[i] != nil {
+			f.res.Stats.Skipped++
+			continue
+		}
 		sig := covs[i].Signature()
 		if !seen[sig] {
 			seen[sig] = true
@@ -334,10 +348,10 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 		return corpus[len(corpus)-1]
 	}
 
+	// A slot left nil — canceled, fault-skipped or crashed — spent budget
+	// without producing a candidate.
 	cands := make([]*candidate, n)
-	runPool(ctx, f.cfg.Workers, n, func(j int) {
-		c := &candidate{skipped: true}
-		cands[j] = c
+	fanout.Run(ctx, f.cfg.Workers, n, func(j int) {
 		if err := faults.Hit(faults.HybridMutate, fmt.Sprintf("r%d#%d", round, j)); err != nil {
 			return
 		}
@@ -347,13 +361,14 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 		op := Ops[rng.Intn(len(Ops))]
 		init := Mutate(rng, parent.Prog[:parent.TestOff], donor.Prog[:donor.TestOff], op)
 		prog := append(init, parent.Prog[parent.TestOff:]...)
-		c.parent, c.op = parent, op
-		c.prog, c.testOff = prog, len(init)
-		c.handler, c.mnemonic = parent.Handler, parent.Mnemonic
+		c := &candidate{
+			parent: parent, op: op, prog: prog, testOff: len(init),
+			handler: parent.Handler, mnemonic: parent.Mnemonic,
+		}
 		c.cov, c.fidelis = f.coverRun(prog)
 		c.sig = c.cov.Signature()
 		c.edges = c.cov.Edges()
-		c.skipped = false
+		cands[j] = c
 	})
 
 	// Canonical merge in job-index order: dedup by signature, then decide
@@ -362,7 +377,7 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 	var ids []string
 	for j, c := range cands {
 		f.res.Stats.Execs++
-		if c == nil || c.skipped {
+		if c == nil {
 			f.res.Stats.Skipped++
 			continue
 		}
@@ -376,10 +391,18 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 	}
 
 	divs := make([][]Divergence, len(novel))
-	runPool(ctx, f.cfg.Workers, len(novel), func(i int) {
+	panics, ran := fanout.Run(ctx, f.cfg.Workers, len(novel), func(i int) {
 		divs[i] = f.trio(ids[i], novel[i])
 	})
 	for i, c := range novel {
+		if !ran[i] || panics[i] != nil {
+			// A trio that never ran or crashed proves no agreement with
+			// hardware: the candidate is skipped, never admitted as
+			// non-divergent, and its signature is released.
+			f.res.Stats.Skipped++
+			delete(f.sigs, c.sig)
+			continue
+		}
 		in := &Input{
 			ID: ids[i], Parent: c.parent.ID, Op: c.op,
 			Handler: c.handler, Mnemonic: c.mnemonic,
@@ -403,8 +426,11 @@ func (f *fuzzer) runRound(ctx context.Context, round, n int) {
 // instrumented fidelis run already happened, so only the Lo-Fi emulator and
 // the hardware oracle execute here.
 func (f *fuzzer) trio(id string, c *candidate) []Divergence {
-	ce := harness.RunBootBudget(harness.CelerFactory(), f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
-	hw := harness.RunBootBudget(harness.HardwareFactory(), f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
+	if f.cfg.testHookTrio != nil {
+		f.cfg.testHookTrio(id)
+	}
+	ce := harness.RunBootBudget(f.celer, f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
+	hw := harness.RunBootBudget(f.hardware, f.cfg.Image, f.cfg.Boot, c.prog, f.budget)
 	filter := diff.UndefFilterFor(c.handler)
 	var out []Divergence
 	for _, pair := range []struct {
@@ -488,6 +514,10 @@ func (f *fuzzer) reseed(ctx context.Context) {
 		return
 	}
 	probe := ex.Probe()
+	maxSteps := f.budget.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = harness.DefaultMaxSteps
+	}
 	for _, in := range promising {
 		if ctx.Err() != nil {
 			return
@@ -496,7 +526,7 @@ func (f *fuzzer) reseed(ctx context.Context) {
 		if u == nil {
 			continue
 		}
-		m := f.replayToTest(in.Prog, in.TestOff)
+		m := testgen.RunToTest(f.cfg.Image, f.cfg.Boot, in.Prog, in.TestOff, maxSteps)
 		if m == nil {
 			continue
 		}
@@ -540,63 +570,4 @@ func (f *fuzzer) reseed(ctx context.Context) {
 			}
 		}
 	}
-}
-
-// replayToTest boots the input and steps the hardware-configuration Hi-Fi
-// interpreter until control reaches the test instruction, returning the
-// paused machine (nil when the mutated initializer faults or loops first).
-func (f *fuzzer) replayToTest(prog []byte, testOff int) *machine.Machine {
-	maxSteps := f.budget.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = harness.DefaultMaxSteps
-	}
-	m := machine.NewBoot(f.cfg.Image)
-	m.Mem.WriteBytes(machine.BootBase, f.cfg.Boot)
-	m.Mem.WriteBytes(machine.CodeBase, prog)
-	e := fidelis.NewWithConfig(m, sem.HardwareConfig)
-	target := machine.CodeBase + uint32(testOff)
-	for i := 0; i < maxSteps; i++ {
-		if m.EIP == target {
-			return m
-		}
-		if ev := e.Step(); ev.Kind != emu.EventNone {
-			return nil
-		}
-	}
-	return nil
-}
-
-// runPool executes task(0..n-1) on an index-sliced worker pool: each index
-// runs exactly once, panics are contained to their slot, and cancellation
-// stops new pulls. Merging stays with the caller, in index order — the
-// same contract as the campaign's pool.
-func runPool(ctx context.Context, workers, n int, task func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				func() {
-					defer func() { recover() }() // a crashed slot reads as skipped
-					task(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pokeemu/internal/core"
-	"pokeemu/internal/coverage"
 	"pokeemu/internal/faults"
 	"pokeemu/internal/machine"
 	"pokeemu/internal/symex"
@@ -212,23 +211,65 @@ func TestFaultSkip(t *testing.T) {
 	}
 }
 
+// TestTrioPanicSkipped pins the rule that a crashed differential trio is
+// never read as agreement with hardware: every candidate whose trio panics
+// is counted as skipped (which the campaign ledgers as
+// Degraded.HybridExecs) and is not admitted, so no mutated input can be
+// marked non-divergent or promising. The counts hold for any worker count.
+func TestTrioPanicSkipped(t *testing.T) {
+	fixture(t)
+	var stats [2]Stats
+	for k, workers := range []int{1, 4} {
+		cfg := baseConfig(workers)
+		var trios atomic.Int32
+		cfg.testHookTrio = func(string) {
+			trios.Add(1)
+			panic("trio leg crashed")
+		}
+		res, err := Run(context.Background(), cfg, fix.seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		stats[k] = st
+		if trios.Load() == 0 {
+			t.Fatalf("workers=%d: no candidate reached the trio", workers)
+		}
+		if st.Skipped != int(trios.Load()) || st.Skipped+st.Deduped != st.Execs {
+			t.Errorf("workers=%d: %d trios crashed but Skipped = %d (Deduped %d, Execs %d)",
+				workers, trios.Load(), st.Skipped, st.Deduped, st.Execs)
+		}
+		if st.Promising != 0 || st.Divergent != 0 {
+			t.Errorf("workers=%d: crashed trios admitted: %d promising, %d divergent",
+				workers, st.Promising, st.Divergent)
+		}
+		for _, in := range res.Inputs {
+			if in.Op != "" {
+				t.Errorf("workers=%d: input %s admitted although its trio crashed", workers, in.ID)
+			}
+		}
+		if got := len(res.Inputs); got != st.SeedSignatures || st.Signatures != got {
+			t.Errorf("workers=%d: corpus has %d inputs and %d signatures, want the %d seed signatures",
+				workers, got, st.Signatures, st.SeedSignatures)
+		}
+	}
+	stats[0].PerHandler, stats[1].PerHandler = nil, nil
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("stats differ across worker counts:\n%+v\n%+v", stats[0], stats[1])
+	}
+}
+
 // TestReseedDirect drives the symex hand-back in isolation: a promising
 // corpus input is replayed to its test instruction, probed, and guided
 // exploration contributes new corpus inputs tagged Op="reseed".
 func TestReseedDirect(t *testing.T) {
 	fixture(t)
-	f := &fuzzer{
-		cfg: Config{
-			Budget: 1, Image: fix.image, Boot: fix.boot,
-			ReseedPaths: 2, MaxReseeds: 1,
-			Explorer: func() (*core.Explorer, error) { return fix.ex, nil },
-			Instrs:   fix.instrs,
-		},
-		global: coverage.NewGlobal(),
-		sigs:   make(map[uint64]bool),
-		byHand: make(map[string]*handlerCov),
-		res:    &Result{},
-	}
+	f := newFuzzer(Config{
+		Budget: 1, Image: fix.image, Boot: fix.boot,
+		ReseedPaths: 2, MaxReseeds: 1,
+		Explorer: func() (*core.Explorer, error) { return fix.ex, nil },
+		Instrs:   fix.instrs,
+	})
 	s := fix.seeds[0]
 	cov, fi := f.coverRun(s.Prog)
 	if fi.Snapshot == nil {
@@ -329,22 +370,4 @@ func TestJobSeed(t *testing.T) {
 	if jobSeed(1, 0, 0) == jobSeed(2, 0, 0) {
 		t.Error("stage seed does not perturb job seeds")
 	}
-}
-
-func TestRunPool(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		var hits [10]atomic.Int32
-		runPool(context.Background(), workers, len(hits), func(i int) {
-			hits[i].Add(1)
-			if i == 4 {
-				panic("boom") // must stay contained to this slot
-			}
-		})
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Errorf("workers=%d: index %d ran %d times", workers, i, hits[i].Load())
-			}
-		}
-	}
-	runPool(context.Background(), 2, 0, func(int) { t.Error("n=0 must not run tasks") })
 }

@@ -64,68 +64,7 @@ func signExtTo64(v uint64, w uint8) uint64 {
 // Run executes the program concretely against st. maxSteps bounds the number
 // of executed statements (0 means a generous default).
 func Run(p *Program, st State, maxSteps int) (Outcome, error) {
-	if maxSteps == 0 {
-		maxSteps = 1 << 20
-	}
-	temps := make([]uint64, len(p.TempWidths))
-	val := func(o Operand) uint64 {
-		if o.IsConst {
-			return o.Val
-		}
-		return temps[o.Temp]
-	}
-	widthOf := func(o Operand) uint8 {
-		if o.IsConst {
-			return o.Width
-		}
-		return p.TempWidths[o.Temp]
-	}
-
-	pc := 0
-	for steps := 0; ; steps++ {
-		if steps >= maxSteps {
-			return Outcome{}, ErrStepLimit
-		}
-		if pc < 0 || pc >= len(p.Stmts) {
-			return Outcome{}, fmt.Errorf("ir: pc %d out of range in %s", pc, p.Name)
-		}
-		s := &p.Stmts[pc]
-		switch s.Kind {
-		case KAssign:
-			temps[s.Dst] = evalOp(s, val, widthOf)
-		case KMove:
-			temps[s.Dst] = val(s.Args[0])
-		case KGet:
-			temps[s.Dst] = st.Get(s.Loc) & expr.Mask(s.Loc.Width())
-		case KSet:
-			st.Set(s.Loc, val(s.Args[0]))
-		case KLoad:
-			temps[s.Dst] = st.Load(uint32(val(s.Args[0])), s.Width)
-		case KStore:
-			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
-		case KCJump:
-			if val(s.Args[0])&1 == 1 {
-				pc = s.Target
-				continue
-			}
-		case KJump:
-			pc = s.Target
-			continue
-		case KRaise:
-			out := Outcome{Kind: OutRaise, Vector: s.Vector, HasErr: s.HasErr, Soft: s.Soft}
-			if s.HasErr {
-				out.ErrCode = uint32(val(s.Args[0]))
-			}
-			return out, nil
-		case KEnd:
-			return Outcome{Kind: OutEnd}, nil
-		case KHalt:
-			return Outcome{Kind: OutHalt}, nil
-		default:
-			return Outcome{}, fmt.Errorf("ir: unknown stmt kind %d", s.Kind)
-		}
-		pc++
-	}
+	return RunEdges(p, st, maxSteps, nil)
 }
 
 // EdgeFunc observes one control-flow edge during concrete evaluation. It
@@ -135,13 +74,11 @@ func Run(p *Program, st State, maxSteps int) (Outcome, error) {
 // reach it.
 type EdgeFunc func(from, to int)
 
-// RunEdges is Run with an edge observer for coverage instrumentation. The
-// loop is deliberately a separate copy of Run's: the non-coverage path pays
-// nothing for the hook, not even a nil check. Keep the two loops in sync.
+// RunEdges is Run with an optional edge observer for coverage
+// instrumentation. The hook is nil-checked only at jumps and terminators,
+// so an uninstrumented run pays one predictable branch per executed basic
+// block and nothing per straight-line statement.
 func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error) {
-	if edge == nil {
-		return Run(p, st, maxSteps)
-	}
 	if maxSteps == 0 {
 		maxSteps = 1 << 20
 	}
@@ -160,7 +97,9 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 	}
 
 	pc := 0
-	edge(-1, 0)
+	if edge != nil {
+		edge(-1, 0)
+	}
 	for steps := 0; ; steps++ {
 		if steps >= maxSteps {
 			return Outcome{}, ErrStepLimit
@@ -183,14 +122,19 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 		case KStore:
 			st.Store(uint32(val(s.Args[0])), val(s.Args[1]), s.Width)
 		case KCJump:
+			to := pc + 1
 			if val(s.Args[0])&1 == 1 {
-				edge(pc, s.Target)
-				pc = s.Target
-				continue
+				to = s.Target
 			}
-			edge(pc, pc+1)
+			if edge != nil {
+				edge(pc, to)
+			}
+			pc = to
+			continue
 		case KJump:
-			edge(pc, s.Target)
+			if edge != nil {
+				edge(pc, s.Target)
+			}
 			pc = s.Target
 			continue
 		case KRaise:
@@ -198,13 +142,19 @@ func RunEdges(p *Program, st State, maxSteps int, edge EdgeFunc) (Outcome, error
 			if s.HasErr {
 				out.ErrCode = uint32(val(s.Args[0]))
 			}
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return out, nil
 		case KEnd:
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return Outcome{Kind: OutEnd}, nil
 		case KHalt:
-			edge(pc, -1)
+			if edge != nil {
+				edge(pc, -1)
+			}
 			return Outcome{Kind: OutHalt}, nil
 		default:
 			return Outcome{}, fmt.Errorf("ir: unknown stmt kind %d", s.Kind)

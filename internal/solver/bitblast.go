@@ -759,6 +759,3 @@ func (b *BV) valueOf(lits []Lit) uint64 {
 	}
 	return v
 }
-
-// NumClauses reports the size of the underlying CNF, for diagnostics.
-func (b *BV) NumClauses() int { return b.sat.NumClauses() }

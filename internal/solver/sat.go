@@ -159,10 +159,6 @@ func NewSat() *CDCL {
 	return &CDCL{ok: true, varInc: 1.0}
 }
 
-// NumClauses returns the number of clauses currently attached (problem
-// plus retained learned clauses).
-func (s *CDCL) NumClauses() int { return s.nclauses }
-
 // NewVar allocates a fresh variable and returns its index.
 func (s *CDCL) NewVar() int {
 	v := len(s.assign) / 2

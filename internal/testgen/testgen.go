@@ -337,18 +337,27 @@ func topoSort(gs []Gadget) ([]Gadget, error) {
 // sanity check; minimization is what keeps this from ever failing, and the
 // ablation benchmark measures exactly that).
 func Verify(p *Program, image *machine.Memory) bool {
+	return RunToTest(image, BaselineInit(), p.Code, p.TestOffset, 4096) != nil
+}
+
+// RunToTest boots code behind the baseline initializer boot and steps the
+// hardware-configuration Hi-Fi interpreter until control reaches the test
+// instruction at code offset testOff, returning the paused machine. It
+// returns nil when the guest halts or faults first, or when maxSteps run
+// out.
+func RunToTest(image *machine.Memory, boot, code []byte, testOff, maxSteps int) *machine.Machine {
 	m := machine.NewBoot(image)
-	m.Mem.WriteBytes(machine.BootBase, BaselineInit())
-	m.Mem.WriteBytes(machine.CodeBase, p.Code)
+	m.Mem.WriteBytes(machine.BootBase, boot)
+	m.Mem.WriteBytes(machine.CodeBase, code)
 	hw := fidelis.NewWithConfig(m, sem.HardwareConfig)
-	testEIP := uint32(machine.CodeBase + p.TestOffset)
-	for i := 0; i < 4096; i++ {
+	testEIP := uint32(machine.CodeBase + testOff)
+	for i := 0; i < maxSteps; i++ {
 		if m.EIP == testEIP {
-			return true
+			return m
 		}
 		if ev := hw.Step(); ev.Kind != emu.EventNone {
-			return false // halted or faulted before the test instruction
+			return nil
 		}
 	}
-	return false
+	return nil
 }

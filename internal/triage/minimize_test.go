@@ -106,3 +106,27 @@ func TestMinimizeNonReproducing(t *testing.T) {
 		t.Errorf("non-reproducing case was altered: %x -> %x", prog, m.Prog)
 	}
 }
+
+// TestRunPanickingCaseIsError checks that a case whose minimization panics
+// fails the triage run with an error naming that case, for any worker
+// count, instead of crashing the process.
+func TestRunPanickingCaseIsError(t *testing.T) {
+	defer func(orig func(CaseInfo, int, int) (*Minimized, error)) { minimize = orig }(minimize)
+	minimize = func(c CaseInfo, _, _ int) (*Minimized, error) {
+		if c.TestID != "t#0" {
+			panic("minimizer crashed on " + c.TestID)
+		}
+		return &Minimized{}, nil
+	}
+	cases := []CaseInfo{{TestID: "t#2"}, {TestID: "t#0"}, {TestID: "t#1"}}
+	for _, workers := range []int{1, 3} {
+		r, err := Run(cases, Options{Minimize: true, Workers: workers})
+		if r != nil || err == nil {
+			t.Fatalf("workers=%d: got report %v, err %v; want an error", workers, r, err)
+		}
+		// The canonically first panicking case is the one reported.
+		if want := "triage: minimizing t#1: panic: minimizer crashed on t#1"; err.Error() != want {
+			t.Errorf("workers=%d: err = %q, want %q", workers, err, want)
+		}
+	}
+}

@@ -1,14 +1,14 @@
 package triage
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pokeemu/internal/corpus"
+	"pokeemu/internal/fanout"
 	"pokeemu/internal/harness"
 	"pokeemu/internal/testgen"
 )
@@ -82,6 +82,9 @@ type Report struct {
 	Cases    []TriagedCase    `json:"cases"`
 }
 
+// minimize is the minimizer Run calls; tests swap in a panicking one.
+var minimize = Minimize
+
 // Run triages a set of divergent cases: partition against the baseline,
 // cluster, and (optionally) minimize each case on a bounded worker pool.
 // Cases are processed in a canonical order and merged by index, so the
@@ -133,7 +136,7 @@ func Run(cases []CaseInfo, opts Options) (*Report, error) {
 				}
 			}
 		}
-		m, err := Minimize(c, maxSteps, budget)
+		m, err := minimize(c, maxSteps, budget)
 		if err != nil {
 			errs[i] = fmt.Errorf("triage: minimizing %s: %w", c.TestID, err)
 			return
@@ -146,7 +149,14 @@ func Run(cases []CaseInfo, opts Options) (*Report, error) {
 			}
 		}
 	}
-	runIndexed(opts.Workers, len(ordered), runCase)
+	// A panicking case fails the triage run with an error naming the case;
+	// it never takes the process (a pokeemud request) down with it.
+	panics, _ := fanout.Run(context.TODO(), opts.Workers, len(ordered), runCase)
+	for i, p := range panics {
+		if p != nil {
+			errs[i] = fmt.Errorf("triage: minimizing %s: panic: %v", ordered[i].TestID, p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -189,38 +199,6 @@ func Run(cases []CaseInfo, opts Options) (*Report, error) {
 		return r.Clusters[i].Signature < r.Clusters[j].Signature
 	})
 	return r, nil
-}
-
-// runIndexed executes n index-addressed tasks over a bounded worker pool.
-// Tasks write only to index-disjoint slots, making scheduling order
-// unobservable — the same contract as the campaign's pool, without its
-// panic isolation (triage tasks report errors through their slot).
-func runIndexed(workers, n int, task func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SuggestedBaseline builds the baseline that would suppress every cluster
